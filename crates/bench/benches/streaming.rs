@@ -9,7 +9,9 @@
 //! * **full vs incremental epoch seal** — recounting everything stored
 //!   vs replaying the previous seal's cached step deltas and counting
 //!   only the tuples added since (`StreamConfig::incremental_seal`),
-//!   plus the O(1) zero-delta re-seal fast path.
+//!   plus the O(1) zero-delta re-seal fast path;
+//! * **push cost per event** — the dedup-on shard set's encode + probe +
+//!   compile on all-unique tuples and on a 90%-re-announcement feed.
 //!
 //! The shard sweep quantifies the coordinator's parallel speedup: each
 //! phase counts shard-local on its own thread, so on a multi-core host
@@ -171,6 +173,7 @@ criterion_group!(
 const SHARDS: usize = 4;
 const DELTA_TUPLES: usize = 256;
 const SEAL_TRIALS: usize = 5;
+const PUSH_TRIALS: usize = 5;
 /// Untimed delta seals before the timed trials: lets the predicate
 /// trajectory converge (first-evidence flips decay as evidence
 /// accumulates), which is the steady state a long-lived stream sits in.
@@ -280,8 +283,41 @@ fn merge_times(n_ids: usize, reps: usize) -> (u128, u128) {
     (dense_ns, sparse_ns)
 }
 
-/// Time the seal paths per world size and write the `BENCH_stream.json`
-/// baseline at the workspace root.
+/// Push cost per event into a dedup-on shard set, in nanoseconds, each
+/// the median of `PUSH_TRIALS` fresh sets: `(unique, reannounce)`.
+/// *Unique* stores every tuple of `world` fresh; *reannounce* then
+/// offers as many events again, 90% repeats of stored tuples (dedup
+/// hits) and 10% taken from `fresh`, the steady-state mix of a live
+/// update feed over a caught-up RIB.
+fn push_times(world: &[PathCommTuple], fresh: &[PathCommTuple]) -> (u128, u128) {
+    let n = world.len();
+    let mut fresh = fresh.iter();
+    let reannounce: Vec<PathCommTuple> = (0..n)
+        .map(|i| match i % 10 {
+            9 => fresh.next().expect("enough fresh tuples").clone(),
+            _ => world[(i * 7_919) % n].clone(),
+        })
+        .collect();
+    let (mut unique, mut again) = (Vec::new(), Vec::new());
+    for _ in 0..PUSH_TRIALS {
+        let mut set = ShardSet::new(SHARDS, true, true);
+        unique.push(time_pushes(&mut set, world.to_vec()) / n as u128);
+        again.push(time_pushes(&mut set, reannounce.clone()) / n as u128);
+    }
+    (median(unique), median(again))
+}
+
+/// Wall-clock nanoseconds to push every tuple of `feed` into `set`.
+fn time_pushes(set: &mut ShardSet, feed: Vec<PathCommTuple>) -> u128 {
+    let t0 = Instant::now();
+    for t in feed {
+        black_box(set.push(t));
+    }
+    t0.elapsed().as_nanos()
+}
+
+/// Time the seal and push paths per world size and write the
+/// `BENCH_stream.json` baseline at the workspace root.
 fn emit_baseline() {
     let mut entries = Vec::new();
     for n in world_sizes() {
@@ -293,9 +329,13 @@ fn emit_baseline() {
         let n_ids = n / 4; // synthetic_world's id-space density
         let (dense_ns, sparse_ns) = merge_times(n_ids, 50);
         let merge_speedup = sparse_ns as f64 / dense_ns.max(1) as f64;
+        let push_world = consistent_world(n + n / 10, 42);
+        let (world, fresh) = push_world.split_at(n);
+        let (push_unique_ns, push_reannounce_ns) = push_times(world, fresh);
         println!(
             "baseline {n}: full seal {:.2} ms, incremental {:.2} ms ({ratio:.2}x), \
-             zero-delta {:.3} ms, merge dense {:.3} ms vs sparse {:.3} ms ({merge_speedup:.2}x)",
+             zero-delta {:.3} ms, merge dense {:.3} ms vs sparse {:.3} ms ({merge_speedup:.2}x), \
+             push {push_unique_ns} ns/event unique, {push_reannounce_ns} ns/event 90% re-announced",
             full_ns as f64 / 1e6,
             incr_ns as f64 / 1e6,
             zero_ns as f64 / 1e6,
@@ -306,7 +346,8 @@ fn emit_baseline() {
             "    {{\"tuples\": {n}, \"full_seal_ns\": {full_ns}, \
              \"incremental_seal_ns\": {incr_ns}, \"zero_delta_seal_ns\": {zero_ns}, \
              \"full_over_incremental\": {ratio:.3}, \"dense_merge_ns\": {dense_ns}, \
-             \"sparse_merge_ns\": {sparse_ns}, \"merge_speedup\": {merge_speedup:.3}}}"
+             \"sparse_merge_ns\": {sparse_ns}, \"merge_speedup\": {merge_speedup:.3}, \
+             \"push_unique_ns\": {push_unique_ns}, \"push_reannounce_ns\": {push_reannounce_ns}}}"
         ));
     }
     let unix_secs = std::time::SystemTime::now()

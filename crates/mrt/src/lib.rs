@@ -17,7 +17,12 @@
 //!   [`error::MrtError`];
 //! * unknown attributes are preserved opaquely so round-trips are lossless;
 //! * the reader is a streaming iterator and maintains PEER_INDEX_TABLE
-//!   state so RIB entries resolve peer ASNs exactly as in real dumps.
+//!   state so RIB entries resolve peer ASNs exactly as in real dumps;
+//! * a well-framed record that cannot be decoded (an unmodelled type
+//!   such as `BGP4MP_STATE_CHANGE_AS4`, or a malformed body) costs only
+//!   that record: [`TupleStream`] yields and counts its error and goes
+//!   on, and [`extract_tuples`] skips it. Only a broken header, length
+//!   or PEER_INDEX_TABLE ends the stream.
 //!
 //! ```
 //! use bgp_mrt::{MrtWriter, extract_tuples};
@@ -86,6 +91,19 @@ mod proptests {
             })
     }
 
+    /// Append one well-framed record of `mrt_type` (subtype 5) carrying
+    /// `body`.
+    fn splice_frame(out: &mut Vec<u8>, mrt_type: u16, body: &[u8]) {
+        MrtHeader {
+            timestamp: 0,
+            mrt_type,
+            subtype: 5,
+            length: body.len() as u32,
+        }
+        .encode(out);
+        out.extend_from_slice(body);
+    }
+
     proptest! {
         #[test]
         fn update_roundtrip(msg in arb_update()) {
@@ -106,6 +124,38 @@ mod proptests {
             for (r, m) in recs.into_iter().zip(msgs) {
                 prop_assert_eq!(r, MrtRecord::Update(m));
             }
+        }
+
+        #[test]
+        fn spliced_unmodelled_record_leaves_tuples_unchanged(
+            msgs in prop::collection::vec(arb_update(), 1..10),
+            at in any::<prop::sample::Index>(),
+            mrt_type in 16u16..1024,
+            body in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            // Subtype 5 of type 16 is BGP4MP_STATE_CHANGE_AS4; no type
+            // above 16 is modelled.
+            let mut clean = Vec::new();
+            let mut spliced = Vec::new();
+            let at = at.index(msgs.len() + 1);
+            for (i, m) in msgs.iter().enumerate() {
+                if i == at {
+                    splice_frame(&mut spliced, mrt_type, &body);
+                }
+                let bytes = record::encode_update(m).unwrap();
+                clean.extend_from_slice(&bytes);
+                spliced.extend_from_slice(&bytes);
+            }
+            if at == msgs.len() {
+                splice_frame(&mut spliced, mrt_type, &body);
+            }
+            let mut stream = TupleStream::new(&spliced);
+            let got: Vec<_> = (&mut stream).filter_map(|r| r.ok()).collect();
+            let want: Vec<_> = TupleStream::new(&clean).map(|r| r.unwrap()).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(stream.skipped_records(), 1);
+            prop_assert!(!stream.is_failed());
+            prop_assert_eq!(extract_tuples(&spliced).unwrap(), extract_tuples(&clean).unwrap());
         }
 
         #[test]

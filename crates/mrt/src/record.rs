@@ -420,28 +420,46 @@ fn decode_rib_group(
 /// `peer_table` must be the most recently seen PEER_INDEX_TABLE when
 /// decoding RIB subtypes (as in a real dump, where it is the first record).
 pub fn decode_record(c: &mut Cursor<'_>, peer_table: Option<&PeerIndexTable>) -> Result<MrtRecord> {
+    let (header, mut body) = read_frame(c)?;
+    decode_body(&header, &mut body, peer_table)
+}
+
+/// Read one record's common header and take its length-framed body off
+/// the cursor. Only this step can break the chain of record lengths;
+/// once it succeeds the cursor sits at the next record whatever the
+/// body holds.
+pub(crate) fn read_frame<'a>(c: &mut Cursor<'a>) -> Result<(MrtHeader, Cursor<'a>)> {
     let header = MrtHeader::decode(c)?;
-    let mut body = c.sub(header.length as usize, "mrt body")?;
+    let body = c.sub(header.length as usize, "mrt body")?;
+    Ok((header, body))
+}
+
+/// Decode one framed record body according to its header's type.
+pub(crate) fn decode_body(
+    header: &MrtHeader,
+    body: &mut Cursor<'_>,
+    peer_table: Option<&PeerIndexTable>,
+) -> Result<MrtRecord> {
     match (header.mrt_type, header.subtype) {
         (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE_AS4) => Ok(MrtRecord::Update(
-            decode_bgp4mp_message_as4(header.timestamp, &mut body)?,
+            decode_bgp4mp_message_as4(header.timestamp, body)?,
         )),
         (TYPE_BGP4MP, crate::legacy::SUBTYPE_BGP4MP_MESSAGE) => Ok(MrtRecord::Update(
-            crate::legacy::decode_bgp4mp_message(header.timestamp, &mut body)?,
+            crate::legacy::decode_bgp4mp_message(header.timestamp, body)?,
         )),
         (crate::legacy::TYPE_TABLE_DUMP, crate::legacy::SUBTYPE_TABLE_DUMP_AFI_IPV4) => {
             Ok(MrtRecord::RibEntries(vec![
-                crate::legacy::decode_table_dump_v1(&mut body)?,
+                crate::legacy::decode_table_dump_v1(body)?,
             ]))
         }
         (TYPE_TABLE_DUMP_V2, SUBTYPE_PEER_INDEX_TABLE) => {
-            Ok(MrtRecord::PeerIndex(decode_peer_index(&mut body)?))
+            Ok(MrtRecord::PeerIndex(decode_peer_index(body)?))
         }
         (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST) => Ok(MrtRecord::RibEntries(
-            decode_rib_group(&mut body, false, peer_table)?,
+            decode_rib_group(body, false, peer_table)?,
         )),
         (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV6_UNICAST) => Ok(MrtRecord::RibEntries(
-            decode_rib_group(&mut body, true, peer_table)?,
+            decode_rib_group(body, true, peer_table)?,
         )),
         (t, s) => Err(MrtError::UnsupportedType {
             mrt_type: t,

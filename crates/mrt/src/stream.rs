@@ -7,14 +7,19 @@
 //! behave.
 //!
 //! The reader is an `Iterator<Item = Result<MrtRecord>>`, so callers can
-//! choose to abort or skip on malformed frames. Resynchronisation after a
-//! corrupt frame is impossible in MRT (lengths chain), matching real-world
-//! tooling.
+//! choose to abort or skip on malformed records. A record whose header
+//! and length framing are intact but whose body is malformed or of a
+//! type this codec does not model (e.g. `BGP4MP_STATE_CHANGE_AS4`) yields
+//! an error and the reader moves on to the next frame. A broken header
+//! or length ends the stream: lengths chain, so resynchronisation after a
+//! corrupt frame is impossible, matching real-world tooling. So does a
+//! malformed PEER_INDEX_TABLE: every later RIB entry resolves its peer
+//! through that table, so skipping it would misattribute them.
 
 use crate::error::Result;
 use crate::record::{
-    decode_record, encode_peer_index, encode_rib_group, encode_update, MrtRecord, PeerIndexTable,
-    RibGroup,
+    decode_body, encode_peer_index, encode_rib_group, encode_update, read_frame, MrtRecord,
+    PeerIndexTable, RibGroup, SUBTYPE_PEER_INDEX_TABLE, TYPE_TABLE_DUMP_V2,
 };
 use crate::wire::Cursor;
 use bgp_types::prelude::*;
@@ -99,6 +104,13 @@ impl<'a> MrtReader<'a> {
         self.peer_table.as_ref()
     }
 
+    /// Whether a broken frame or peer table ended the stream. An error
+    /// yielded while this is still `false` was confined to one record's
+    /// body, and iteration continues after it.
+    pub fn is_failed(&self) -> bool {
+        self.failed
+    }
+
     /// Decode every record, failing on the first error.
     pub fn read_all(self) -> Result<Vec<MrtRecord>> {
         let mut out = Vec::new();
@@ -109,6 +121,9 @@ impl<'a> MrtReader<'a> {
     }
 }
 
+/// `(type, subtype)` of the TABLE_DUMP_V2 PEER_INDEX_TABLE record.
+const PEER_INDEX: (u16, u16) = (TYPE_TABLE_DUMP_V2, SUBTYPE_PEER_INDEX_TABLE);
+
 impl Iterator for MrtReader<'_> {
     type Item = Result<MrtRecord>;
 
@@ -116,17 +131,28 @@ impl Iterator for MrtReader<'_> {
         if self.failed || self.cursor.is_exhausted() {
             return None;
         }
-        match decode_record(&mut self.cursor, self.peer_table.as_ref()) {
+        let (header, mut body) = match read_frame(&mut self.cursor) {
+            Ok(frame) => frame,
+            Err(e) => {
+                // Lengths chain; once a frame is bad the stream is dead.
+                self.failed = true;
+                return Some(Err(e));
+            }
+        };
+        // The body was taken off the cursor whole, so a body error
+        // leaves the cursor at the next record.
+        match decode_body(&header, &mut body, self.peer_table.as_ref()) {
             Ok(MrtRecord::PeerIndex(t)) => {
                 self.peer_table = Some(t.clone());
                 Some(Ok(MrtRecord::PeerIndex(t)))
             }
-            Ok(r) => Some(Ok(r)),
-            Err(e) => {
-                // Lengths chain; once a frame is bad the stream is dead.
+            Err(e) if (header.mrt_type, header.subtype) == PEER_INDEX => {
+                // Later RIB entries would resolve against no table, or a
+                // stale one: end the stream rather than misattribute.
                 self.failed = true;
                 Some(Err(e))
             }
+            other => Some(other),
         }
     }
 }
@@ -137,13 +163,19 @@ impl Iterator for MrtReader<'_> {
 /// `originated` time — applying the path-shape sanitation (AS_SET
 /// removal, peer prepending, prepend collapse) per entry. Memory stays
 /// bounded by one record regardless of archive size.
+///
+/// Errors follow [`MrtReader`]: a record the reader could frame but not
+/// decode (an unmodelled type such as a state change, a malformed body)
+/// yields one error, is counted in [`TupleStream::skipped_records`], and
+/// iteration continues with the next record. A broken frame or peer
+/// table yields its error last ([`TupleStream::is_failed`]).
 pub struct TupleStream<'a> {
     reader: MrtReader<'a>,
     pending: std::collections::VecDeque<(u64, PathCommTuple)>,
     raw_entries: u64,
     kept: u64,
     shape_dropped: u64,
-    failed: bool,
+    skipped_records: u64,
 }
 
 impl<'a> TupleStream<'a> {
@@ -155,7 +187,7 @@ impl<'a> TupleStream<'a> {
             raw_entries: 0,
             kept: 0,
             shape_dropped: 0,
-            failed: false,
+            skipped_records: 0,
         }
     }
 
@@ -175,6 +207,17 @@ impl<'a> TupleStream<'a> {
     pub fn shape_dropped(&self) -> u64 {
         self.shape_dropped
     }
+
+    /// Well-framed records skipped so far because their body was
+    /// unsupported or malformed (each was yielded as an error).
+    pub fn skipped_records(&self) -> u64 {
+        self.skipped_records
+    }
+
+    /// Whether the last error yielded ended the stream.
+    pub fn is_failed(&self) -> bool {
+        self.reader.is_failed()
+    }
 }
 
 impl Iterator for TupleStream<'_> {
@@ -185,12 +228,11 @@ impl Iterator for TupleStream<'_> {
             if let Some(item) = self.pending.pop_front() {
                 return Some(Ok(item));
             }
-            if self.failed {
-                return None;
-            }
             match self.reader.next()? {
                 Err(e) => {
-                    self.failed = true;
+                    if !self.reader.is_failed() {
+                        self.skipped_records += 1;
+                    }
                     return Some(Err(e));
                 }
                 Ok(MrtRecord::PeerIndex(_)) => {}
@@ -234,12 +276,18 @@ impl Iterator for TupleStream<'_> {
 ///
 /// Returns the tuples plus the number of raw entries seen (for Table 1's
 /// "Entries total" accounting). Withdrawals carry no path and are skipped.
-/// This is [`TupleStream`] drained into a vector.
+/// This is [`TupleStream`] drained into a vector: well-framed records it
+/// cannot decode are skipped, and only an error that ends the stream is
+/// returned.
 pub fn extract_tuples(bytes: &[u8]) -> Result<(Vec<PathCommTuple>, u64)> {
     let mut stream = TupleStream::new(bytes);
     let mut tuples = Vec::new();
-    for item in &mut stream {
-        tuples.push(item?.1);
+    while let Some(item) = stream.next() {
+        match item {
+            Ok((_, t)) => tuples.push(t),
+            Err(e) if stream.is_failed() => return Err(e),
+            Err(_) => {}
+        }
     }
     Ok((tuples, stream.raw_entries()))
 }
@@ -247,7 +295,9 @@ pub fn extract_tuples(bytes: &[u8]) -> Result<(Vec<PathCommTuple>, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::PeerEntry;
+    use crate::error::MrtError;
+    use crate::record::{MrtHeader, PeerEntry};
+    use crate::wire::PutExt;
 
     fn update(peer: u32, path: &[u32], comms: &[(u16, u16)], ts: u64) -> UpdateMessage {
         UpdateMessage::announcement(
@@ -385,6 +435,160 @@ mod tests {
         let results: Vec<_> = TupleStream::new(&bytes).collect();
         assert_eq!(results.len(), 1);
         assert!(results[0].is_err());
+    }
+
+    /// A `BGP4MP_STATE_CHANGE_AS4` record (type 16 / subtype 5): peer
+    /// and local AS, interface, AFI, IPv4 peer and local address, old
+    /// and new FSM state.
+    fn state_change_record() -> Vec<u8> {
+        let mut body = Vec::new();
+        body.put_u32(64500);
+        body.put_u32(65000);
+        body.put_u16(0);
+        body.put_u16(1);
+        body.extend_from_slice(&[192, 0, 2, 1, 192, 0, 2, 2]);
+        body.put_u16(6);
+        body.put_u16(1);
+        let mut out = Vec::new();
+        MrtHeader {
+            timestamp: 150,
+            mrt_type: crate::record::TYPE_BGP4MP,
+            subtype: 5,
+            length: body.len() as u32,
+        }
+        .encode(&mut out);
+        out.extend_from_slice(&body);
+        out
+    }
+
+    #[test]
+    fn unmodelled_record_is_skipped_not_fatal() {
+        let mut w = MrtWriter::new();
+        w.write_update(&update(64500, &[64500, 3356], &[(3356, 1)], 100))
+            .unwrap();
+        let first = w.byte_len();
+        w.write_update(&update(64501, &[64501, 174, 15169], &[(174, 7)], 200))
+            .unwrap();
+        let clean = w.into_bytes();
+        let mut spliced = clean[..first].to_vec();
+        spliced.extend_from_slice(&state_change_record());
+        spliced.extend_from_slice(&clean[first..]);
+
+        let records: Vec<_> = MrtReader::new(&spliced).collect();
+        assert_eq!(records.len(), 3);
+        assert_eq!(
+            records[1],
+            Err(MrtError::UnsupportedType {
+                mrt_type: 16,
+                subtype: 5
+            })
+        );
+        assert!(records[2].is_ok());
+
+        // The skipped record surfaces as one non-fatal error in place.
+        let mut stream = TupleStream::new(&spliced);
+        let items: Vec<_> = (&mut stream).collect();
+        assert_eq!(items.len(), 3);
+        assert!(items[1].is_err());
+        assert!(!stream.is_failed());
+        assert_eq!(stream.skipped_records(), 1);
+        let got: Vec<(u64, PathCommTuple)> = items.into_iter().filter_map(|r| r.ok()).collect();
+        let want: Vec<(u64, PathCommTuple)> =
+            TupleStream::new(&clean).map(|r| r.unwrap()).collect();
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 2);
+        assert_eq!(
+            extract_tuples(&spliced).unwrap(),
+            extract_tuples(&clean).unwrap()
+        );
+    }
+
+    #[test]
+    fn malformed_body_is_skipped_but_broken_frame_ends_stream() {
+        let mut w = MrtWriter::new();
+        w.write_update(&update(1, &[1, 2], &[], 0)).unwrap();
+        let first = w.byte_len();
+        w.write_update(&update(3, &[3, 4], &[], 0)).unwrap();
+        w.write_update(&update(5, &[5, 6], &[], 0)).unwrap();
+        let mut bytes = w.into_bytes();
+        // Corrupt the second record's BGP marker: its frame stays intact.
+        bytes[first + MrtHeader::SIZE + 20] ^= 0xff;
+        let mut stream = TupleStream::new(&bytes);
+        let peers: Vec<Asn> = (&mut stream)
+            .filter_map(|r| r.ok())
+            .map(|(_, t)| t.path.peer())
+            .collect();
+        assert_eq!(peers, vec![Asn(1), Asn(5)]);
+        assert_eq!(stream.skipped_records(), 1);
+        assert_eq!(extract_tuples(&bytes).unwrap().0.len(), 2);
+
+        // A truncated final frame is still fatal, after the good records.
+        bytes.truncate(bytes.len() - 3);
+        let mut stream = TupleStream::new(&bytes);
+        let results: Vec<_> = (&mut stream).collect();
+        assert_eq!(results.len(), 3);
+        assert!(results[0].is_ok() && results[1].is_err() && results[2].is_err());
+        assert!(stream.is_failed());
+        assert_eq!(stream.skipped_records(), 1);
+        assert!(extract_tuples(&bytes).is_err());
+    }
+
+    /// One TABLE_DUMP_V2 dump: a peer table naming `peer`, then one RIB
+    /// entry learned from it. Returns the bytes and the offset of the
+    /// peer table's 16-bit peer count.
+    fn rib_dump(peer: u32) -> (Vec<u8>, usize) {
+        let mut w = MrtWriter::new();
+        let table = PeerIndexTable {
+            collector_id: 1,
+            view_name: String::new(),
+            peers: vec![PeerEntry {
+                bgp_id: 1,
+                ip: vec![10, 0, 0, 1],
+                asn: Asn(peer),
+            }],
+        };
+        w.write_peer_index(&table, 0).unwrap();
+        let g = RibGroup {
+            sequence: 1,
+            prefix: Prefix::v4([8, 8, 0, 0], 16),
+            entries: vec![(
+                0,
+                5,
+                PathAttributes {
+                    as_path: RawAsPath::from_sequence(vec![Asn(peer), Asn(15169)]),
+                    ..Default::default()
+                },
+            )],
+        };
+        w.write_rib_group(&g, 0).unwrap();
+        // Collector id (4), empty view name (2), then the peer count.
+        (w.into_bytes(), MrtHeader::SIZE + 6)
+    }
+
+    #[test]
+    fn malformed_peer_table_ends_stream() {
+        // Alone: without the table every RIB entry would lose its peer.
+        let (mut bytes, count_at) = rib_dump(7018);
+        bytes[count_at..count_at + 2].copy_from_slice(&[0xff, 0xff]);
+        assert!(extract_tuples(&bytes).is_err());
+        let mut stream = TupleStream::new(&bytes);
+        assert!(stream.next().unwrap().is_err());
+        assert!(stream.is_failed());
+        assert!(stream.next().is_none());
+        assert_eq!(stream.skipped_records(), 0);
+
+        // After a valid dump: the stale table must not resolve the
+        // second dump's entries.
+        let (mut bytes, _) = rib_dump(7018);
+        let (second, count_at) = rib_dump(3356);
+        let count_at = bytes.len() + count_at;
+        bytes.extend_from_slice(&second);
+        bytes[count_at..count_at + 2].copy_from_slice(&[0xff, 0xff]);
+        assert!(extract_tuples(&bytes).is_err());
+        let results: Vec<_> = TupleStream::new(&bytes).collect();
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].as_ref().unwrap().1.path.peer(), Asn(7018));
+        assert!(results[1].is_err());
     }
 
     #[test]

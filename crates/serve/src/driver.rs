@@ -867,6 +867,70 @@ mod tests {
     }
 
     #[test]
+    fn driver_quarantines_corrupt_mrt_bodies_and_aborts_past_threshold() {
+        use bgp_mrt::{MrtHeader, MrtWriter};
+
+        // Seven updates; four have a corrupt BGP marker inside an intact
+        // frame, so the reader skips each of them and reads on.
+        let mut bytes = Vec::new();
+        for i in 0..7u32 {
+            let mut w = MrtWriter::new();
+            w.write_update(&UpdateMessage::announcement(
+                Asn(10 + i),
+                u64::from(i),
+                Prefix::v4([203, 0, 113, 0], 24),
+                RawAsPath::from_sequence(vec![Asn(10 + i), Asn(9)]),
+                CommunitySet::new(),
+            ))
+            .unwrap();
+            let start = bytes.len();
+            bytes.extend_from_slice(w.as_bytes());
+            if i % 2 == 1 || i == 6 {
+                // Peer and local AS, interface, AFI, two IPv4 addresses.
+                bytes[start + MrtHeader::SIZE + 20] ^= 0xff;
+            }
+        }
+        let file =
+            std::env::temp_dir().join(format!("bgp-driver-corrupt-{}.mrt", std::process::id()));
+        std::fs::write(&file, &bytes).unwrap();
+        let feed = || Feed::MrtFiles(vec![file.to_string_lossy().into_owned()]);
+
+        let report = spawn_ingest(
+            DriverConfig::default(),
+            feed(),
+            Arc::new(SnapshotSlot::new(Thresholds::default())),
+            Arc::new(Metrics::new()),
+        )
+        .join()
+        .unwrap();
+        assert_eq!(report.quarantined, 4);
+        assert_eq!(report.total_events, 3, "the records around them are kept");
+
+        let health = Arc::new(crate::health::HealthState::default());
+        let err = spawn_supervised(
+            DriverConfig {
+                quarantine_abort: 3,
+                ..Default::default()
+            },
+            feed(),
+            Arc::new(SnapshotSlot::new(Thresholds::default())),
+            Arc::new(Metrics::new()),
+            None,
+            None,
+            Some(Arc::clone(&health)),
+        )
+        .join()
+        .unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.contains("quarantine threshold exceeded"), "{err}");
+        assert_eq!(health.quarantined(), 4);
+        assert_eq!(
+            health.evaluate().status,
+            crate::health::HealthStatus::Unhealthy
+        );
+    }
+
+    #[test]
     fn driver_runs_churn_scenarios() {
         for name in ["flap-storm", "peer-reset"] {
             let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));

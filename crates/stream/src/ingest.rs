@@ -192,6 +192,9 @@ impl TupleSource for QuarantinedSource<'_> {
 pub struct MrtSource<'a> {
     mode: Mode<'a>,
     done: bool,
+    /// A record error met after part of a batch was filled: the batch
+    /// is returned first, the error on the next call.
+    deferred: Option<bgp_mrt::MrtError>,
 }
 
 enum Mode<'a> {
@@ -217,6 +220,7 @@ impl<'a> MrtSource<'a> {
         MrtSource {
             mode: Mode::Shape(TupleStream::new(bytes)),
             done: false,
+            deferred: None,
         }
     }
 
@@ -233,6 +237,7 @@ impl<'a> MrtSource<'a> {
                 raw_entries: 0,
             },
             done: false,
+            deferred: None,
         }
     }
 
@@ -285,11 +290,20 @@ fn registry_sanitize_into(
 }
 
 impl TupleSource for MrtSource<'_> {
+    /// Each record error is returned once, after the events decoded
+    /// before it; the stream goes on past a record that was framed but
+    /// not decoded, and a broken frame ends it (the next call returns
+    /// an empty batch). A [`QuarantinedSource`] therefore counts every
+    /// skipped record.
     fn next_batch(&mut self, max: usize) -> Result<Vec<StreamEvent>, IngestError> {
+        if let Some(e) = self.deferred.take() {
+            return Err(e.into());
+        }
         let mut out = Vec::new();
         if self.done {
             return Ok(out);
         }
+        let mut error = None;
         match &mut self.mode {
             Mode::Shape(stream) => {
                 while out.len() < max {
@@ -299,8 +313,8 @@ impl TupleSource for MrtSource<'_> {
                             break;
                         }
                         Some(Err(e)) => {
-                            self.done = true;
-                            return Err(e.into());
+                            error = Some(e);
+                            break;
                         }
                         Some(Ok((ts, tuple))) => out.push(StreamEvent::new(ts, tuple)),
                     }
@@ -324,8 +338,8 @@ impl TupleSource for MrtSource<'_> {
                             break;
                         }
                         Some(Err(e)) => {
-                            self.done = true;
-                            return Err(e.into());
+                            error = Some(e);
+                            break;
                         }
                         Some(Ok(MrtRecord::PeerIndex(_))) => {}
                         Some(Ok(MrtRecord::Update(u))) => {
@@ -370,7 +384,13 @@ impl TupleSource for MrtSource<'_> {
                 }
             }
         }
-        Ok(out)
+        match error {
+            Some(e) if out.is_empty() => Err(e.into()),
+            e => {
+                self.deferred = e;
+                Ok(out)
+            }
+        }
     }
 }
 
@@ -537,6 +557,90 @@ mod tests {
         }
         assert_eq!(streamed, batch_tuples);
         assert_eq!(src.raw_entries(), raw);
+    }
+
+    /// Updates from `peers`, with an empty-bodied
+    /// `BGP4MP_STATE_CHANGE_AS4` frame (type 16 / subtype 5) after each
+    /// but the last.
+    fn updates_with_state_changes(peers: &[u32]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (i, &peer) in peers.iter().enumerate() {
+            let mut w = MrtWriter::new();
+            w.write_update(&update(peer, &[peer, 3356], Some(3356), i as u64))
+                .unwrap();
+            bytes.extend_from_slice(w.as_bytes());
+            if i + 1 < peers.len() {
+                bgp_mrt::MrtHeader {
+                    timestamp: i as u32,
+                    mrt_type: 16,
+                    subtype: 5,
+                    length: 0,
+                }
+                .encode(&mut bytes);
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn mrt_source_surfaces_unmodelled_records_and_goes_on() {
+        let bytes = updates_with_state_changes(&[3320, 174]);
+        let mut shape = MrtSource::new(&bytes);
+        let mut registry = MrtSource::with_sanitizer(&bytes, Sanitizer::permissive());
+        for src in [&mut shape, &mut registry] {
+            // The event before the skipped record comes first, then its
+            // error once, then the rest of the file.
+            assert_eq!(src.next_batch(16).unwrap().len(), 1);
+            assert!(matches!(
+                src.next_batch(16),
+                Err(IngestError::Mrt(bgp_mrt::MrtError::UnsupportedType {
+                    mrt_type: 16,
+                    subtype: 5
+                }))
+            ));
+            assert_eq!(src.next_batch(16).unwrap().len(), 1);
+            assert!(src.next_batch(16).unwrap().is_empty());
+            assert_eq!(src.raw_entries(), 2);
+        }
+
+        for registry in [false, true] {
+            let mut src = if registry {
+                MrtSource::with_sanitizer(&bytes, Sanitizer::permissive())
+            } else {
+                MrtSource::new(&bytes)
+            };
+            let mut guarded = QuarantinedSource::new(&mut src, 0);
+            let mut events = 0;
+            loop {
+                let batch = guarded.next_batch(16).unwrap();
+                if batch.is_empty() {
+                    break;
+                }
+                events += batch.len();
+            }
+            assert_eq!(events, 2);
+            assert_eq!(guarded.quarantined(), 1);
+        }
+    }
+
+    #[test]
+    fn skipped_records_count_toward_the_quarantine_abort() {
+        let bytes = updates_with_state_changes(&[1, 2, 3, 4]);
+        let mut src = MrtSource::new(&bytes);
+        let mut guarded = QuarantinedSource::new(&mut src, 2);
+        let err = loop {
+            match guarded.next_batch(16) {
+                Ok(b) => assert!(!b.is_empty(), "drained without aborting"),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(
+            err,
+            IngestError::QuarantineExceeded {
+                quarantined: 3,
+                threshold: 2
+            }
+        ));
     }
 
     #[test]

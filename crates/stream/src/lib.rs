@@ -16,7 +16,7 @@
 //!            └─────────────────────────────────┘  ▼
 //!            ┌─────────────── shard ────────────────┐
 //!            │ route(tuple) = fnv(on-path ASNs) % N │  N shards, each a
-//!            │ private dedup set + tuple store      │  private delta map
+//!            │ private dedup index + tuple store    │  private delta map
 //!            └──────────────────────────────────────┘
 //!                              │ CounterStore::merge at phase boundaries
 //!                              ▼
@@ -77,6 +77,7 @@ pub mod ingest;
 pub mod outcome;
 pub mod pipeline;
 pub mod shard;
+mod tuple_index;
 
 /// Commonly used items.
 pub mod prelude {

@@ -4,6 +4,10 @@
 //! Incoming tuples are routed onto `N` shards by an FNV-1a hash of their
 //! on-path ASNs, so an identical tuple always lands on the same shard —
 //! which makes per-shard deduplication equivalent to global deduplication.
+//! Each shard deduplicates through an exact [`TupleIndex`]: one
+//! canonical `u32` word encoding per stored tuple in an append-only
+//! arena, under an open-addressed table of `(hash, offset)` slots, so a
+//! push costs one encode plus one probe and no owned tuple outlives it.
 //! Each shard owns its partition as a [`CompiledTuples`] store (the
 //! length-bucketed columnar representation of `bgp_infer::compiled`,
 //! appended incrementally as events arrive), and **every shard interns
@@ -47,6 +51,7 @@
 //! batch engine's reference path, pinned by `tests/stream_parity.rs`
 //! across epochs, shard counts, and incremental on/off.
 
+use crate::tuple_index::TupleIndex;
 use bgp_infer::compiled::{
     CompiledTuples, DeltaStore, DenseCounterStore, IdBitSet, PhasePredicates,
 };
@@ -54,7 +59,6 @@ use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_infer::engine::CountPhase;
 use bgp_types::prelude::*;
 use obs::Histogram;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,12 +139,12 @@ impl CachedStep {
 
 /// One worker shard: a privately owned, incrementally compiled tuple
 /// partition plus its per-seal scratch and the cached step deltas. With
-/// dedup on, the ordered `seen` set provides membership (counting order
-/// is irrelevant — phases are order-free); the compiled store holds
-/// every stored tuple either way.
+/// dedup on, the arena-encoded [`TupleIndex`] provides exact membership
+/// and the pushed tuple itself is dropped once compiled; the compiled
+/// store holds every stored tuple either way.
 #[derive(Debug)]
 struct Shard {
-    seen: BTreeSet<PathCommTuple>,
+    seen: TupleIndex,
     compiled: CompiledTuples,
     /// Reused per-phase dense delta (touched-id tracked, O(touched) to
     /// clear).
@@ -152,23 +156,18 @@ struct Shard {
 impl Shard {
     fn new(interner: Arc<SharedInterner>) -> Self {
         Shard {
-            seen: BTreeSet::new(),
+            seen: TupleIndex::new(),
             compiled: CompiledTuples::with_shared(interner),
             delta: DeltaStore::default(),
             cache: Vec::new(),
         }
     }
 
-    fn push(&mut self, t: PathCommTuple, dedup: bool) -> bool {
-        if dedup {
-            if self.seen.contains(&t) {
-                return false;
-            }
-            self.compiled.push(&t);
-            self.seen.insert(t);
-        } else {
-            self.compiled.push(&t);
+    fn push(&mut self, t: &PathCommTuple, dedup: bool) -> bool {
+        if dedup && !self.seen.insert(t) {
+            return false;
         }
+        self.compiled.push(t);
         true
     }
 
@@ -306,7 +305,7 @@ impl ShardSet {
     /// Offer a tuple; returns `true` when stored (not a dedup hit).
     pub fn push(&mut self, t: PathCommTuple) -> bool {
         let idx = self.route(&t.path);
-        let stored = self.shards[idx].push(t, self.dedup);
+        let stored = self.shards[idx].push(&t, self.dedup);
         if stored {
             self.unique += 1;
         } else {
@@ -589,6 +588,7 @@ mod tests {
     use super::*;
     use bgp_infer::counters::CounterStore;
     use bgp_infer::engine::{InferenceConfig, InferenceEngine};
+    use std::collections::BTreeSet;
 
     fn tup(p: &[u32], uppers: &[u32]) -> PathCommTuple {
         PathCommTuple::new(
@@ -642,6 +642,58 @@ mod tests {
         }
         assert_eq!(set.stored_tuples(), unique);
         assert_eq!(set.duplicates(), unique as u64);
+    }
+
+    /// Every distinct tuple of a mixed corpus (shared paths with varied
+    /// sets, both community variants, empty sets) offered 1–3 times, in
+    /// a deterministic shuffle.
+    fn repeated_shuffled_corpus() -> Vec<PathCommTuple> {
+        let mut distinct = corpus();
+        for i in 0..300u32 {
+            let p = [20 + (i % 5), 500 + (i % 60)];
+            let comm = match i % 3 {
+                0 => CommunitySet::new(),
+                1 => {
+                    CommunitySet::from_iter([AnyCommunity::regular(20 + (i % 5) as u16, i as u16)])
+                }
+                _ => CommunitySet::from_iter([AnyCommunity::large(500 + (i % 60), i, 0)]),
+            };
+            distinct.push(PathCommTuple::new(path(&p), comm));
+        }
+        let mut feed = Vec::new();
+        for (i, t) in distinct.into_iter().enumerate() {
+            for _ in 0..1 + i % 3 {
+                feed.push(t.clone());
+            }
+        }
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        for i in (1..feed.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            feed.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        feed
+    }
+
+    #[test]
+    fn dedup_counts_match_ordered_set_oracle() {
+        let feed = repeated_shuffled_corpus();
+        for shards in [1usize, 2, 4, 7] {
+            let mut set = ShardSet::new(shards, true, true);
+            let mut oracle: Vec<BTreeSet<PathCommTuple>> = vec![BTreeSet::new(); shards];
+            let mut oracle_dups = 0u64;
+            for t in feed.iter().cloned() {
+                let fresh = oracle[set.route(&t.path)].insert(t.clone());
+                oracle_dups += !fresh as u64;
+                assert_eq!(set.push(t), fresh, "{shards} shards");
+            }
+            let loads: Vec<usize> = oracle.iter().map(BTreeSet::len).collect();
+            assert_eq!(set.shard_loads(), loads, "{shards} shards");
+            assert_eq!(set.stored_tuples(), loads.iter().sum::<usize>());
+            assert_eq!(set.duplicates(), oracle_dups);
+            assert!(oracle_dups > 0 && set.stored_tuples() > 700);
+        }
     }
 
     #[test]
